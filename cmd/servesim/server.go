@@ -119,17 +119,44 @@ func (req *scenarioRequest) resolveModel(cfg train.Config) (model.GPT, error) {
 	return model.NewGPT(maxLayers), nil
 }
 
-// decode parses the request body, enforcing POST.
-func decode(w http.ResponseWriter, r *http.Request, req *scenarioRequest) bool {
+// decode parses the request body into v, enforcing POST. A field the
+// request type does not know is an error, so a misspelled setting is
+// rejected instead of silently falling back to its default.
+func decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return false
 	}
-	if err := json.NewDecoder(r.Body).Decode(req); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
 		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
 		return false
 	}
 	return true
+}
+
+// decodeScenario parses a /run or /sweep body into the request and its base
+// train.Config, answering any error itself: 400 for a malformed body or an
+// unknown name, 422 for settings train rejects (a negative run length or
+// batch size, a strategy/offload pairing outside Table I). The settings are
+// checked before any Profile call or cache lookup: Profile panics on a
+// pairing Table I rules out.
+func decodeScenario(w http.ResponseWriter, r *http.Request) (scenarioRequest, train.Config, bool) {
+	var req scenarioRequest
+	if !decode(w, r, &req) {
+		return req, train.Config{}, false
+	}
+	cfg, err := req.baseConfig()
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return req, cfg, false
+	}
+	if err := cfg.ValidateSettings(); err != nil {
+		http.Error(w, err.Error(), http.StatusUnprocessableEntity)
+		return req, cfg, false
+	}
+	return req, cfg, true
 }
 
 // handleRun answers one configuration with its run summary. The body is
@@ -137,15 +164,11 @@ func decode(w http.ResponseWriter, r *http.Request, req *scenarioRequest) bool {
 // servesim response is byte-identical to `bwchar`/`whatif` output for the
 // same scenario.
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req scenarioRequest
-	if !decode(w, r, &req) {
+	req, cfg, ok := decodeScenario(w, r)
+	if !ok {
 		return
 	}
-	cfg, err := req.baseConfig()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
+	var err error
 	if cfg.Model, err = req.resolveModel(cfg); err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -167,13 +190,8 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 // worker pool's ordered-prefix flush), so a client watching a long sweep sees
 // each point as soon as every earlier point is out.
 func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req scenarioRequest
-	if !decode(w, r, &req) {
-		return
-	}
-	base, err := req.baseConfig()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	req, base, ok := decodeScenario(w, r)
+	if !ok {
 		return
 	}
 	maxLayers := base.Profile().MaxLayers(model.DefaultBatchSize, 4)
@@ -342,12 +360,7 @@ func (req *serveRequest) config() (serve.Config, error) {
 // harness diffs.
 func (s *server) handleServe(w http.ResponseWriter, r *http.Request) {
 	var req serveRequest
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST required", http.StatusMethodNotAllowed)
-		return
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad request: "+err.Error(), http.StatusBadRequest)
+	if !decode(w, r, &req) {
 		return
 	}
 	cfg, err := req.config()

@@ -259,11 +259,28 @@ func TestBadRequests(t *testing.T) {
 		{"/run", `{"strategy":"ddp","algo":"2level"}`, http.StatusBadRequest},
 		{"/sweep", `{"strategy":"ddp","sizes":"banana"}`, http.StatusBadRequest},
 		{"/run", `{"strategy":"megatron","offload":"cpu","layers":2}`, http.StatusUnprocessableEntity},
+		// A misspelled field is an error, not a default run.
+		{"/run", `{"strategy":"ddp","layers":4,"iteratons":3}`, http.StatusBadRequest},
+		{"/sweep", `{"strategy":"ddp","size":"0.35"}`, http.StatusBadRequest},
+		// Table I pairings are rejected before the memory profile (which
+		// panics on them) sizes a model.
+		{"/run", `{"strategy":"zero1","offload":"nvme-opt"}`, http.StatusUnprocessableEntity},
+		{"/sweep", `{"strategy":"zero2","offload":"nvme-opt+param"}`, http.StatusUnprocessableEntity},
+		// Negative run lengths and batch sizes are rejected, not run.
+		{"/run", `{"strategy":"ddp","layers":4,"iterations":-5}`, http.StatusUnprocessableEntity},
+		{"/run", `{"strategy":"ddp","layers":4,"batch_per_gpu":-1}`, http.StatusUnprocessableEntity},
+		{"/sweep", `{"strategy":"ddp","warmup":-1}`, http.StatusUnprocessableEntity},
 	}
+	before := train.RunCacheStats()
 	for _, tc := range cases {
 		if code, body := post(t, ts, tc.path, tc.body); code != tc.want {
 			t.Errorf("POST %s %s = %d, want %d (%s)", tc.path, tc.body, code, tc.want, body)
 		}
+	}
+	// Every case above is turned away before it reaches the result tier.
+	after := train.RunCacheStats()
+	if got := (after.Hits + after.Misses) - (before.Hits + before.Misses); got != 0 {
+		t.Errorf("bad requests made %d result-tier lookups, want 0", got)
 	}
 	resp, err := http.Get(ts.URL + "/run")
 	if err != nil {
@@ -350,6 +367,8 @@ func TestServeBadRequests(t *testing.T) {
 		{`{"tp":9}`, http.StatusUnprocessableEntity},
 		{`{"topo":"mesh:nodes=8"}`, http.StatusUnprocessableEntity},
 		{`{"disaggregated":true,"nodes":1}`, http.StatusUnprocessableEntity},
+		{`{"requests":16,"rate":16}`, http.StatusBadRequest},
+		{`{"trace":[{"at_ns":0,"prompt":8}]}`, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		if code, body := post(t, ts, "/serve", tc.body); code != tc.want {

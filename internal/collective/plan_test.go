@@ -10,11 +10,8 @@ import (
 
 // issueSequenceTimes runs a fixed mix of collective issues — replays, a
 // single-ring shape, a rate-limited shape — back to back on a fresh cluster
-// and returns each completion time. The only degree of freedom between calls
-// is the issue path under test.
-func issueSequenceTimes(compiled bool, nodes int) []sim.Time {
-	defer func(old bool) { CompiledPlans = old }(CompiledPlans)
-	CompiledPlans = compiled
+// and returns each completion time.
+func issueSequenceTimes(nodes int) []sim.Time {
 	c := topology.New(topology.DefaultConfig(nodes))
 	g := NewGroup(c, NodeMajorRanks(nodes, 4))
 	seq := []struct {
@@ -42,20 +39,24 @@ func issueSequenceTimes(compiled bool, nodes int) []sim.Time {
 	return times
 }
 
-// TestPlanMatchesDirectIssue is the collective-level determinism A/B: a
-// replayed plan must complete at exactly the virtual time the rebuild-per-
-// issue path produces, on single- and dual-node clusters.
+// TestPlanMatchesDirectIssue pins compiled and replayed plans to the
+// completion times (in nanoseconds) the rebuild-per-issue path they replaced
+// produced, on single- and dual-node clusters. The times were frozen while
+// both paths still existed and were proven identical.
 func TestPlanMatchesDirectIssue(t *testing.T) {
+	want := map[int][]sim.Time{
+		1: {15024000, 18786000, 22548000, 37572000, 337596000, 341358000},
+		2: {201979077, 289507077, 377035077, 579014154, 929070154, 1016598154},
+	}
 	for _, nodes := range []int{1, 2} {
-		direct := issueSequenceTimes(false, nodes)
-		planned := issueSequenceTimes(true, nodes)
-		if len(direct) != len(planned) {
-			t.Fatalf("nodes=%d: issue counts differ: %d vs %d", nodes, len(direct), len(planned))
+		got := issueSequenceTimes(nodes)
+		if len(got) != len(want[nodes]) {
+			t.Fatalf("nodes=%d: %d issues completed, want %d", nodes, len(got), len(want[nodes]))
 		}
-		for i := range direct {
-			if direct[i] != planned[i] {
-				t.Errorf("nodes=%d issue %d: direct at %v, planned at %v",
-					nodes, i, direct[i], planned[i])
+		for i, w := range want[nodes] {
+			if got[i] != w {
+				t.Errorf("nodes=%d issue %d: completed at %d ns, golden %d ns",
+					nodes, i, int64(got[i]), int64(w))
 			}
 		}
 	}
@@ -105,30 +106,32 @@ func TestConcurrentSameShapeIssues(t *testing.T) {
 
 // TestPlanRefreshesCapsOnCapacityChange: a pooled plan caches cross-node
 // stream caps derived from RoCE link capacities; after SetCapacity the next
-// replay must recompute them exactly as a fresh issue would.
+// replay must recompute them exactly as a plan compiled fresh on the changed
+// cluster does.
 func TestPlanRefreshesCapsOnCapacityChange(t *testing.T) {
-	run := func(compiled bool) sim.Time {
-		defer func(old bool) { CompiledPlans = old }(CompiledPlans)
-		CompiledPlans = compiled
-		c := topology.New(topology.DefaultConfig(2))
-		g := NewGroup(c, NodeMajorRanks(2, 4))
-		g.Start(AllReduce, 2e9, func() {})
-		c.Eng.Run()
-		l := c.LinksOfClass(fabric.RoCE, 0)[0]
-		c.Net.SetCapacity(l, l.Capacity()/2)
+	c := topology.New(topology.DefaultConfig(2))
+	ranks := NodeMajorRanks(2, 4)
+	g := NewGroup(c, ranks)
+	issue := func(g *Group) sim.Time {
+		start := c.Eng.Now()
 		var doneAt sim.Time
 		g.Start(AllReduce, 2e9, func() { doneAt = c.Eng.Now() })
 		c.Eng.Run()
-		return doneAt
+		return doneAt - start
 	}
-	first := run(false)
-	direct := run(false)
-	planned := run(true)
-	if first != direct {
-		t.Fatalf("direct path not deterministic: %v vs %v", first, direct)
+	before := issue(g)
+	l := c.LinksOfClass(fabric.RoCE, 0)[0]
+	c.Net.SetCapacity(l, l.Capacity()/2)
+	replayed := issue(g)
+	if compiled, replays := g.PlanStats(); compiled != 1 || replays != 1 {
+		t.Fatalf("compiled=%d replays=%d, want the second issue to replay the first plan", compiled, replays)
 	}
-	if planned != direct {
-		t.Errorf("replay after SetCapacity finished at %v, direct path at %v", planned, direct)
+	fresh := issue(NewGroup(c, ranks))
+	if replayed != fresh {
+		t.Errorf("replay after SetCapacity took %v, a freshly compiled plan %v", replayed, fresh)
+	}
+	if replayed <= before {
+		t.Errorf("halving a RoCE link did not slow the all-reduce: %v before, %v after", before, replayed)
 	}
 }
 

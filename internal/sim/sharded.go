@@ -10,9 +10,8 @@ import (
 // goroutines; when false, the same sharded program is replayed on one
 // goroutine by a serial merge loop in global (time, shard, seq) order. The
 // two paths are byte-identical in every observable (traces, telemetry,
-// summaries), which is the A/B contract this toggle exists to test — the
-// same idiom as fabric.BatchAdmission, collective.CompiledPlans and
-// train.CompiledSchedules.
+// summaries), which is the A/B contract this toggle exists to test; the
+// serial merge is the reference the parallel windows are checked against.
 var Sharded = true
 
 const (

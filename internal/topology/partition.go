@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"llmbw/internal/fabric"
-	"llmbw/internal/sched"
 	"llmbw/internal/sim"
 )
 
@@ -22,8 +21,25 @@ type Partition struct {
 	Lookahead sim.Time // inter-shard lookahead (the NIC wire latency)
 }
 
+// RoundRobin deals items one at a time into parts slices (item i lands in
+// part i%parts): every part gets either ⌊items/parts⌋ or ⌈items/parts⌉
+// items. It sizes shard blocks here and the training strategies' gradient
+// buckets and prefetch groups (PyTorch's bucket assignment produces the same
+// distribution). parts == 0 is only meaningful for items == 0 and yields an
+// empty split.
+func RoundRobin(items, parts int) []int {
+	if parts < 0 {
+		parts = 0
+	}
+	out := make([]int, parts)
+	for i := 0; i < items; i++ {
+		out[i%parts]++
+	}
+	return out
+}
+
 // MakePartition splits nodes into shards contiguous blocks whose sizes
-// differ by at most one (sched.RoundRobin's distribution). A shard count
+// differ by at most one (RoundRobin's distribution). A shard count
 // above the node count is clamped: an empty shard would contribute nothing
 // but horizon bookkeeping.
 func MakePartition(nodes, shards int) Partition {
@@ -41,7 +57,7 @@ func MakePartition(nodes, shards int) Partition {
 		Shards:    shards,
 		Of:        make([]int, nodes),
 		First:     make([]int, shards),
-		Counts:    sched.RoundRobin(nodes, shards),
+		Counts:    RoundRobin(nodes, shards),
 		Lookahead: LatRoCE,
 	}
 	node := 0
@@ -93,7 +109,7 @@ func MakeRailPartition(seams []int, shards int, lookahead sim.Time) Partition {
 		Lookahead: lookahead,
 	}
 	node, block := 0, 0
-	for s, cnt := range sched.RoundRobin(len(seams), shards) {
+	for s, cnt := range RoundRobin(len(seams), shards) {
 		p.First[s] = node
 		for i := 0; i < cnt; i++ {
 			for j := 0; j < seams[block]; j++ {

@@ -8,6 +8,42 @@ import (
 	"llmbw/internal/sim"
 )
 
+func TestRoundRobinEvenness(t *testing.T) {
+	for items := 0; items <= 64; items++ {
+		for parts := 1; parts <= 17; parts++ {
+			got := RoundRobin(items, parts)
+			if len(got) != parts {
+				t.Fatalf("RoundRobin(%d,%d) has %d parts", items, parts, len(got))
+			}
+			sum, min, max := 0, got[0], got[0]
+			for _, n := range got {
+				sum += n
+				if n < min {
+					min = n
+				}
+				if n > max {
+					max = n
+				}
+			}
+			if sum != items {
+				t.Fatalf("RoundRobin(%d,%d) sums to %d", items, parts, sum)
+			}
+			if max-min > 1 {
+				t.Fatalf("RoundRobin(%d,%d) uneven: %v", items, parts, got)
+			}
+		}
+	}
+}
+
+func TestRoundRobinDegenerate(t *testing.T) {
+	if got := RoundRobin(0, 0); len(got) != 0 {
+		t.Errorf("RoundRobin(0,0) = %v, want empty", got)
+	}
+	if got := RoundRobin(0, -3); len(got) != 0 {
+		t.Errorf("RoundRobin(0,-3) = %v, want empty", got)
+	}
+}
+
 func TestMakePartitionShapes(t *testing.T) {
 	cases := []struct {
 		nodes, shards int

@@ -105,8 +105,9 @@ func (k Kind) Class() Class {
 }
 
 // Phase tags a span with the iteration phase of the schedule op that emitted
-// it. The legacy imperative strategies emit PhaseNone; the compiled schedule
-// IR tags every op, so exported traces can be filtered by phase. Phase never
+// it. Spans recorded outside a schedule (start-up broadcasts, checkpoint
+// writes) carry PhaseNone; the schedule executor tags every op, so exported
+// traces can be filtered by phase. Phase never
 // affects rendering, summaries or breakdowns — adding it is golden-safe.
 type Phase uint8
 

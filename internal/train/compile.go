@@ -12,11 +12,9 @@ import (
 	"llmbw/internal/trace"
 )
 
-// This file is the schedule compiler: each strategy's imperative iteration
-// (strategies.go / hybrid.go) expressed as a one-time lowering into the
-// internal/schedule op vocabulary. Every emit mirrors one legacy call in the
-// same program order with the same precomputed operands, which is what lets
-// the executor replay the exact event sequence of the coroutine path.
+// This file is the schedule compiler: each strategy's training iteration
+// lowered once into the internal/schedule op vocabulary, every operand
+// precomputed, and replayed by the executor on every iteration.
 
 // scheduleCache is the compiled-program tier of the warm-artifact store. A
 // non-hybrid schedule is a pure function of the configuration slice keyed
@@ -136,7 +134,7 @@ func (b *schedBuilder) offload(bytesPerRank float64) {
 func (b *schedBuilder) hostAdam(params int64) {
 	d := b.r.cpu.AdamTime(params, 2)
 	if d <= 0 {
-		// The legacy hostAdam emits nothing for an empty step.
+		// An empty step emits nothing.
 		return
 	}
 	b.Paced(trace.CPUAdam, d, params)
@@ -144,7 +142,7 @@ func (b *schedBuilder) hostAdam(params int64) {
 
 func (b *schedBuilder) nvme(bytesPerRank float64, write bool) {
 	if bytesPerRank <= 0 {
-		// Mirrors nvmeIO's early return.
+		// Nothing to transfer.
 		return
 	}
 	b.NVMe(trace.NVMeIO, bytesPerRank, write)
@@ -160,7 +158,7 @@ func (b *schedBuilder) stageAllReduce(groups []*collective.Group, payload float6
 
 func (b *schedBuilder) boundary(routes []topology.Route, bytes float64) {
 	if len(routes) == 0 || bytes <= 0 {
-		// Mirrors sendBoundaries' early return.
+		// A single stage, or nothing to send.
 		return
 	}
 	b.RouteXfer(trace.OffloadCopy, routes, bytes)
@@ -181,7 +179,8 @@ func (b *schedBuilder) z1Collective(op collective.Op, payload float64) {
 	}
 }
 
-// forward lowers forwardPass.
+// forward emits the forward compute (shared by DDP and ZeRO-1/2),
+// accumulating activation memory layer by layer.
 func (b *schedBuilder) forward(mp int) {
 	r := b.r
 	g := r.cfg.Model
@@ -196,7 +195,8 @@ func (b *schedBuilder) forward(mp int) {
 	b.compute(trace.Elementwise, 0) // loss/softmax epilogue
 }
 
-// optimizer lowers optimizerPhase.
+// optimizer emits the weight update on GPU, CPU (ZeRO-Offload) or
+// NVMe-staged CPU (ZeRO-Infinity) per the configured offload mode.
 func (b *schedBuilder) optimizer() {
 	r := b.r
 	world := int64(r.cfg.WorldSize())
@@ -222,6 +222,9 @@ func (b *schedBuilder) optimizer() {
 	}
 }
 
+// compileDDP: forward, backward with per-bucket all-reduce overlapped on the
+// comm stream (PyTorch DDP's gradient bucketing), then a replicated fused
+// Adam step on every GPU.
 func (b *schedBuilder) compileDDP() {
 	r := b.r
 	g := r.cfg.Model
@@ -247,6 +250,13 @@ func (b *schedBuilder) compileDDP() {
 	b.gpuAdam(g.Params())
 }
 
+// compileMegatron: tensor-model parallelism of degree = world size, with MP
+// gradient-accumulation microbatches per iteration so the global batch
+// matches the data-parallel runs — visible in Fig 5 as Megatron-LM's four
+// forward/backward pairs. Every layer runs its GEMMs on 1/MP of the work and
+// synchronizes activations with two all-reduces in forward and two in
+// backward — the communication the paper identifies as Megatron-LM's
+// dual-node downfall.
 func (b *schedBuilder) compileMegatron() {
 	r := b.r
 	g := r.cfg.Model
@@ -281,6 +291,10 @@ func (b *schedBuilder) compileMegatron() {
 	b.gpuAdam(g.Params() / int64(mp))
 }
 
+// compileZeRO1: DDP-like compute with activation checkpointing; optimizer
+// states are partitioned, so the gradient synchronization becomes an exposed
+// reduce-scatter + parameter all-gather at the end of the step, rate-limited
+// when GPU headroom starves the fused buffers (the Table V ZeRO-1 drop).
 func (b *schedBuilder) compileZeRO1() {
 	r := b.r
 	g := r.cfg.Model
@@ -302,6 +316,11 @@ func (b *schedBuilder) compileZeRO1() {
 	b.z1Collective(collective.AllGather, r.paramBytes)
 }
 
+// compileZeRO2: gradients are reduce-scattered per bucket, overlapped with
+// the backward pass on a single node; across nodes DeepSpeed 0.7.1's overlap
+// is ineffective over RoCE (the paper's Fig 10 shows distinct communication
+// phases), so the reduce-scatter runs exposed after backward. The optimizer
+// updates the local partition, then parameters are all-gathered.
 func (b *schedBuilder) compileZeRO2() {
 	r := b.r
 	g := r.cfg.Model
@@ -335,6 +354,10 @@ func (b *schedBuilder) compileZeRO2() {
 	b.sync(collective.AllGather, r.paramBytes, 0, 1)
 }
 
+// compileZeRO3: parameters live sharded. Forward and backward gather each
+// layer group's parameters just in time (prefetched one group ahead on the
+// comm stream); backward additionally reduce-scatters each group's
+// gradients.
 func (b *schedBuilder) compileZeRO3() {
 	r := b.r
 	g := r.cfg.Model
@@ -406,6 +429,8 @@ func (b *schedBuilder) compileZeRO3() {
 	b.optimizer()
 }
 
+// compileMegatronHybrid: one iteration of TP×PP hybrid model parallelism
+// (see hybrid.go for the pipeline model).
 func (b *schedBuilder) compileMegatronHybrid() {
 	r := b.r
 	g := r.cfg.Model

@@ -113,9 +113,7 @@ type Config struct {
 	// mid-run events (e.g. cluster.Eng.Schedule + cluster.Net.SetCapacity)
 	// for resilience studies.
 	FaultInjection func(c *topology.Cluster)
-	// Rewrite applies a schedule-level ablation (see Rewrite). Non-zero
-	// values force the compiled-schedule execution path regardless of the
-	// CompiledSchedules toggle.
+	// Rewrite applies a schedule-level ablation (see Rewrite).
 	Rewrite Rewrite
 	// Shards > 1 runs the simulation on a sharded engine (sim.ShardedEngine,
 	// gated by sim.Sharded), <= 1 on the plain serial engine. On the testbed
@@ -205,6 +203,9 @@ func (c Config) Validate() error {
 	if err := c.Model.Validate(); err != nil {
 		return err
 	}
+	if err := c.ValidateSettings(); err != nil {
+		return err
+	}
 	if c.IsDC() {
 		return c.validateDC()
 	}
@@ -217,32 +218,19 @@ func (c Config) Validate() error {
 	if c.Shards > MaxShards {
 		return fmt.Errorf("train: %d shards above the supported maximum %d", c.Shards, MaxShards)
 	}
-	switch c.Strategy {
-	case DDP, Megatron:
-		if c.Offload != memory.NoOffload {
-			return fmt.Errorf("train: %v does not support offload", c.Strategy)
+	if (c.Strategy == DDP || c.Strategy == Megatron) && (c.TensorParallel != 0 || c.PipelineParallel != 0) {
+		if c.Strategy != Megatron {
+			return fmt.Errorf("train: TP/PP degrees apply only to Megatron-LM")
 		}
-		if c.TensorParallel != 0 || c.PipelineParallel != 0 {
-			if c.Strategy != Megatron {
-				return fmt.Errorf("train: TP/PP degrees apply only to Megatron-LM")
-			}
-			if c.TensorParallel < 1 || c.PipelineParallel < 1 ||
-				c.TensorParallel*c.PipelineParallel != c.WorldSize() {
-				return fmt.Errorf("train: TP(%d) x PP(%d) must equal world size %d",
-					c.TensorParallel, c.PipelineParallel, c.WorldSize())
-			}
-			if c.PipelineParallel > c.Model.Layers {
-				return fmt.Errorf("train: %d pipeline stages exceed %d layers",
-					c.PipelineParallel, c.Model.Layers)
-			}
+		if c.TensorParallel < 1 || c.PipelineParallel < 1 ||
+			c.TensorParallel*c.PipelineParallel != c.WorldSize() {
+			return fmt.Errorf("train: TP(%d) x PP(%d) must equal world size %d",
+				c.TensorParallel, c.PipelineParallel, c.WorldSize())
 		}
-	case ZeRO1, ZeRO2:
-		if c.needsNVMe() {
-			return fmt.Errorf("train: ZeRO-%d cannot offload to NVMe (Table I)", c.Strategy.ZeROStage())
+		if c.PipelineParallel > c.Model.Layers {
+			return fmt.Errorf("train: %d pipeline stages exceed %d layers",
+				c.PipelineParallel, c.Model.Layers)
 		}
-	case ZeRO3:
-	default:
-		return fmt.Errorf("train: unknown strategy %d", int(c.Strategy))
 	}
 	if c.needsNVMe() {
 		if c.Nodes != 1 {
@@ -251,6 +239,33 @@ func (c Config) Validate() error {
 		if err := c.Placement.Validate(); err != nil {
 			return err
 		}
+	}
+	return nil
+}
+
+// ValidateSettings is the part of Validate that needs no model: run lengths
+// and batch size must not be negative, and the strategy must support the
+// offload mode (the paper's Table I). Callers that size a model from the
+// memory profile check it first, because Profile panics on a pairing Table I
+// rules out.
+func (c Config) ValidateSettings() error {
+	c = c.withDefaults()
+	if c.Iterations < 0 || c.Warmup < 0 || c.BatchPerGPU < 0 {
+		return fmt.Errorf("train: iterations (%d), warmup (%d) and batch per GPU (%d) must not be negative",
+			c.Iterations, c.Warmup, c.BatchPerGPU)
+	}
+	switch c.Strategy {
+	case DDP, Megatron:
+		if c.Offload != memory.NoOffload {
+			return fmt.Errorf("train: %v does not support offload", c.Strategy)
+		}
+	case ZeRO1, ZeRO2:
+		if c.needsNVMe() {
+			return fmt.Errorf("train: ZeRO-%d cannot offload to NVMe (Table I)", c.Strategy.ZeROStage())
+		}
+	case ZeRO3:
+	default:
+		return fmt.Errorf("train: unknown strategy %d", int(c.Strategy))
 	}
 	return nil
 }
@@ -322,12 +337,9 @@ func (c Config) Name() string {
 		label += fmt.Sprintf(" (%d×NVMe opt+param)", len(c.Placement.Drives))
 	}
 	if c.IsDC() {
-		// The algorithm label reflects what actually runs: with the
-		// Hierarchical toggle off, every algorithm degrades to the flat twin
-		// and the run is byte-identical to an explicit -algo=flat run.
 		algo := c.Algo
 		if parsed, err := collective.ParseAlgo(c.Algo); err == nil {
-			algo = collective.EffectiveAlgo(parsed).String()
+			algo = parsed.String()
 		}
 		if dc, err := topology.ParseTopoSpec(c.Topo); err == nil {
 			label += fmt.Sprintf(" @%s/%s", dc.Spec(), algo)

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"llmbw/internal/collective"
-	"llmbw/internal/fabric"
 	"llmbw/internal/model"
 	"llmbw/internal/sim"
 )
@@ -59,29 +57,15 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestShardedMatchesAcrossFastPaths crosses the sharded toggle with the full
-// existing fast-path matrix (compiled plans × batched admission × compiled
-// schedules) on the multi-node ZeRO-3 shape: sharding must be byte-identical
-// to the plain engine in every one of the 8 combinations.
+// TestShardedMatchesAcrossFastPaths runs the multi-node ZeRO-3 shape — the
+// one whose compiled plans, batched admissions and stream schedule all
+// interleave — untraced on the plain engine and on four parallel shards: the
+// summaries must be byte-identical.
 func TestShardedMatchesAcrossFastPaths(t *testing.T) {
 	cfg := Config{Strategy: ZeRO3, Model: model.NewGPT(8), Iterations: 2, Warmup: 1, Nodes: 2}
-	for _, plans := range []bool{false, true} {
-		for _, batch := range []bool{false, true} {
-			for _, ir := range []bool{false, true} {
-				func() {
-					defer func(p, b, s bool) {
-						collective.CompiledPlans, fabric.BatchAdmission, CompiledSchedules = p, b, s
-					}(collective.CompiledPlans, fabric.BatchAdmission, CompiledSchedules)
-					collective.CompiledPlans, fabric.BatchAdmission, CompiledSchedules = plans, batch, ir
-					plain := runSharded(t, cfg, 0, false)
-					sharded := runSharded(t, cfg, 4, true)
-					if !bytes.Equal(plain, sharded) {
-						t.Errorf("plans=%v batch=%v ir=%v: sharded summary differs from plain",
-							plans, batch, ir)
-					}
-				}()
-			}
-		}
+	plain := runSharded(t, cfg, 0, false)
+	if sharded := runSharded(t, cfg, 4, true); !bytes.Equal(plain, sharded) {
+		t.Errorf("sharded summary differs from plain:\n%s\n----\n%s", sharded, plain)
 	}
 }
 

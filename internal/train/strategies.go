@@ -1,70 +1,34 @@
 package train
 
-import (
-	"fmt"
+import "llmbw/internal/topology"
 
-	"llmbw/internal/collective"
-	"llmbw/internal/memory"
-	"llmbw/internal/sched"
-	"llmbw/internal/sim"
-	"llmbw/internal/trace"
-)
-
-// runIteration executes one training step under the configured strategy.
-// Ranks run in lockstep (the workload is SPMD-symmetric), so a single driver
-// process advances the shared schedule while flows and collectives contend
-// on the fabric.
-func (r *Runner) runIteration(p *sim.Proc) {
-	if CompiledSchedules || r.cfg.Rewrite != RewriteNone {
-		// The compiled-schedule path (which subsumes batch staging as its
-		// first op). Rewrites are schedule transformations, so they force it.
-		r.runCompiled(p)
-		return
-	}
-	r.stageBatch()
-	switch r.cfg.Strategy {
-	case DDP:
-		r.iterDDP(p)
-	case Megatron:
-		if r.cfg.PipelineParallel > 1 {
-			r.iterMegatronHybrid(p)
-		} else {
-			r.iterMegatron(p)
-		}
-	case ZeRO1:
-		r.iterZeRO1(p)
-	case ZeRO2:
-		r.iterZeRO2(p)
-	case ZeRO3:
-		r.iterZeRO3(p)
-	default:
-		panic(fmt.Sprintf("train: unknown strategy %v", r.cfg.Strategy))
-	}
-}
-
-// buckets splits the layer count into communication buckets.
+// buckets splits layers into gradient communication buckets (PyTorch DDP /
+// DeepSpeed bucketing) of at most layersPerBucket layers each, capped at
+// maxCommBuckets buckets: NCCL stream serialization keeps overlapped buckets
+// ordered, so more buckets stop paying off. Layers are dealt round-robin.
+// Always returns at least one bucket; zero layers yield a single empty
+// bucket, the degenerate schedule with one empty flush.
 func buckets(layers int) []int {
-	return sched.Buckets(layers, layersPerBucket, maxCommBuckets)
-}
-
-// groups splits layers into ZeRO-3 parameter prefetch groups.
-func groups(layers int) []int {
-	return sched.Groups(layers, zero3Groups)
-}
-
-// forwardPass runs the forward compute (shared by DDP and ZeRO-1/2),
-// accumulating activation memory layer by layer.
-func (r *Runner) forwardPass(p *sim.Proc, mp int) {
-	g := r.cfg.Model
-	b := r.cfg.BatchPerGPU
-	layerF := g.LayerForwardFLOPs(b) / float64(mp)
-	for l := 0; l < g.Layers; l++ {
-		r.computeSpan(p, trace.Gemm, layerF)
-		r.mem.alloc(r.layerActivationBytes())
+	n := (layers + layersPerBucket - 1) / layersPerBucket
+	if n > maxCommBuckets {
+		n = maxCommBuckets
 	}
-	r.computeSpan(p, trace.Gemm, g.HeadForwardFLOPs(b)/float64(mp))
-	r.mem.alloc(r.headActivationBytes())
-	r.computeSpan(p, trace.Elementwise, 0) // loss/softmax epilogue
+	if n < 1 {
+		n = 1
+	}
+	return topology.RoundRobin(layers, n)
+}
+
+// groups splits layers into zero3Groups ZeRO-3 parameter prefetch groups,
+// shrinking the group count when there are fewer layers than groups (every
+// group holds at least one layer). Zero layers yield zero groups: there is
+// nothing to prefetch.
+func groups(layers int) []int {
+	n := zero3Groups
+	if layers < n {
+		n = layers
+	}
+	return topology.RoundRobin(layers, n)
 }
 
 // backwardFactor is the compute multiple of a forward pass spent in backward
@@ -74,212 +38,4 @@ func (r *Runner) backwardFactor() float64 {
 		return 3
 	}
 	return 2
-}
-
-// iterDDP: forward, backward with per-bucket all-reduce overlapped on the
-// comm stream (PyTorch DDP's gradient bucketing), then a replicated fused
-// Adam step on every GPU.
-func (r *Runner) iterDDP(p *sim.Proc) {
-	g := r.cfg.Model
-	b := r.cfg.BatchPerGPU
-	r.forwardPass(p, 1)
-
-	q := r.newQueue(0, 2)
-	r.computeSpan(p, trace.Gemm, 2*g.HeadForwardFLOPs(b))
-	r.mem.free(r.headActivationBytes())
-	r.mem.alloc(r.recomputeWorkingSet())
-	bk := buckets(g.Layers)
-	perBucket := r.gradBytes / float64(len(bk))
-	for _, k := range bk {
-		r.computeSpan(p, trace.Gemm, r.backwardFactor()*g.LayerForwardFLOPs(b)*float64(k))
-		r.mem.free(float64(k) * r.layerActivationBytes())
-		q.enqueue(collective.AllReduce, perBucket)
-	}
-	r.mem.free(r.recomputeWorkingSet())
-	q.drain(p)
-	r.gpuAdam(p, g.Params())
-}
-
-// iterMegatron: tensor-model parallelism of degree = world size, with MP
-// gradient-accumulation microbatches per iteration so the global batch
-// matches the data-parallel runs — visible in Fig 5 as Megatron-LM's four
-// forward/backward pairs. Every layer runs its GEMMs on 1/MP of the work and
-// synchronizes activations with two all-reduces in forward and two in
-// backward — the communication the paper identifies as Megatron-LM's
-// dual-node downfall.
-func (r *Runner) iterMegatron(p *sim.Proc) {
-	g := r.cfg.Model
-	b := r.cfg.BatchPerGPU
-	mp := r.cfg.WorldSize()
-	actBytes := float64(b) * float64(g.SeqLen) * float64(g.Hidden) * 2 // FP16 activations
-
-	layerF := g.LayerForwardFLOPs(b) / float64(mp)
-	for micro := 0; micro < mp; micro++ {
-		for l := 0; l < g.Layers; l++ {
-			r.computeSpan(p, trace.Gemm, layerF)
-			r.mem.alloc(r.layerActivationBytes())
-			r.syncCollective(p, collective.AllReduce, actBytes, 0, 2)
-			r.syncCollective(p, collective.AllReduce, actBytes, 0, 2)
-		}
-		r.computeSpan(p, trace.Gemm, g.HeadForwardFLOPs(b)/float64(mp))
-		r.mem.alloc(r.headActivationBytes())
-		r.syncCollective(p, collective.AllReduce, actBytes, 0, 2)
-
-		for l := 0; l < g.Layers; l++ {
-			r.computeSpan(p, trace.Gemm, 2*layerF)
-			r.mem.free(r.layerActivationBytes())
-			r.syncCollective(p, collective.AllReduce, actBytes, 0, 2)
-			r.syncCollective(p, collective.AllReduce, actBytes, 0, 2)
-		}
-		r.computeSpan(p, trace.Gemm, 2*g.HeadForwardFLOPs(b)/float64(mp))
-		r.mem.free(r.headActivationBytes())
-	}
-	r.gpuAdam(p, g.Params()/int64(mp))
-}
-
-// iterZeRO1: DDP-like compute with activation checkpointing; optimizer
-// states are partitioned, so the gradient synchronization becomes an exposed
-// reduce-scatter + parameter all-gather at the end of the step, rate-limited
-// when GPU headroom starves the fused buffers (the Table V ZeRO-1 drop).
-func (r *Runner) iterZeRO1(p *sim.Proc) {
-	g := r.cfg.Model
-	b := r.cfg.BatchPerGPU
-	r.forwardPass(p, 1)
-	r.computeSpan(p, trace.Gemm, 2*g.HeadForwardFLOPs(b))
-	r.mem.free(r.headActivationBytes())
-	r.mem.alloc(r.recomputeWorkingSet())
-	for _, k := range buckets(g.Layers) {
-		r.computeSpan(p, trace.Gemm, r.backwardFactor()*g.LayerForwardFLOPs(b)*float64(k))
-		r.mem.free(float64(k) * r.layerActivationBytes())
-	}
-	r.mem.free(r.recomputeWorkingSet())
-	r.z1Collective(p, collective.ReduceScatter, r.gradBytes)
-	r.optimizerPhase(p)
-	r.z1Collective(p, collective.AllGather, r.paramBytes)
-}
-
-// iterZeRO2: gradients are reduce-scattered per bucket, overlapped with the
-// backward pass on a single node; across nodes DeepSpeed 0.7.1's overlap is
-// ineffective over RoCE (the paper's Fig 10 shows distinct communication
-// phases), so the reduce-scatter runs exposed after backward. The optimizer
-// updates the local partition, then parameters are all-gathered.
-func (r *Runner) iterZeRO2(p *sim.Proc) {
-	g := r.cfg.Model
-	b := r.cfg.BatchPerGPU
-	r.forwardPass(p, 1)
-
-	overlap := r.cfg.Nodes == 1
-	q := r.newQueue(0, 1)
-	r.computeSpan(p, trace.Gemm, 2*g.HeadForwardFLOPs(b))
-	r.mem.free(r.headActivationBytes())
-	r.mem.alloc(r.recomputeWorkingSet())
-	bk := buckets(g.Layers)
-	perBucket := r.gradBytes / float64(len(bk))
-	for _, k := range bk {
-		r.computeSpan(p, trace.Gemm, r.backwardFactor()*g.LayerForwardFLOPs(b)*float64(k))
-		r.mem.free(float64(k) * r.layerActivationBytes())
-		if overlap {
-			q.enqueue(collective.ReduceScatter, perBucket)
-		}
-	}
-	r.mem.free(r.recomputeWorkingSet())
-	if overlap {
-		q.drain(p)
-	} else {
-		r.syncCollective(p, collective.ReduceScatter, r.gradBytes, 0, 1)
-	}
-	r.optimizerPhase(p)
-	r.syncCollective(p, collective.AllGather, r.paramBytes, 0, 1)
-}
-
-// iterZeRO3: parameters live sharded. Forward and backward gather each layer
-// group's parameters just in time (prefetched one group ahead on the comm
-// stream); backward additionally reduce-scatters each group's gradients.
-func (r *Runner) iterZeRO3(p *sim.Proc) {
-	g := r.cfg.Model
-	b := r.cfg.BatchPerGPU
-	gr := groups(g.Layers)
-	layerParamBytes := 2 * float64(g.LayerParams())
-	embedBytes := 2 * float64(g.EmbeddingParams())
-	groupBytes := func(i int) float64 {
-		bytes := layerParamBytes * float64(gr[i])
-		if i == 0 {
-			bytes += embedBytes
-		}
-		return bytes
-	}
-	if r.cfg.Offload == memory.NVMeOptimizerAndParams {
-		// Parameters start on NVMe: each rank stages its shard up before
-		// the gathers can run.
-		r.nvmeIO(p, r.paramBytes/float64(r.cfg.WorldSize()), false)
-	}
-
-	q := r.newQueue(0, 1)
-	handles := make([]*collective.Handle, len(gr))
-	handles[0] = q.enqueueHandle(collective.AllGather, groupBytes(0))
-	for i := range gr {
-		if i+1 < len(gr) {
-			handles[i+1] = q.enqueueHandle(collective.AllGather, groupBytes(i+1))
-		}
-		handles[i].Wait(p)
-		q.release(handles[i])
-		handles[i] = nil
-		p.Sleep(r.zero3Overhead() * sim.Time(gr[i]))
-		r.computeSpan(p, trace.Gemm, g.LayerForwardFLOPs(b)*float64(gr[i]))
-		r.mem.alloc(float64(gr[i]) * r.layerActivationBytes())
-	}
-	r.computeSpan(p, trace.Gemm, g.HeadForwardFLOPs(b))
-	r.mem.alloc(r.headActivationBytes())
-
-	if r.cfg.Offload == memory.NVMeOptimizerAndParams {
-		r.nvmeIO(p, r.paramBytes/float64(r.cfg.WorldSize()), false)
-	}
-	r.computeSpan(p, trace.Gemm, 2*g.HeadForwardFLOPs(b))
-	r.mem.free(r.headActivationBytes())
-	r.mem.alloc(r.recomputeWorkingSet())
-	bq := r.newQueue(0, 1)
-	bh := make([]*collective.Handle, len(gr))
-	last := len(gr) - 1
-	bh[last] = bq.enqueueHandle(collective.AllGather, groupBytes(last))
-	for i := last; i >= 0; i-- {
-		if i-1 >= 0 {
-			bh[i-1] = bq.enqueueHandle(collective.AllGather, groupBytes(i-1))
-		}
-		bh[i].Wait(p)
-		bq.release(bh[i])
-		bh[i] = nil
-		p.Sleep(r.zero3Overhead() * sim.Time(gr[i]))
-		r.computeSpan(p, trace.Gemm, r.backwardFactor()*g.LayerForwardFLOPs(b)*float64(gr[i]))
-		r.mem.free(float64(gr[i]) * r.layerActivationBytes())
-		bq.enqueue(collective.ReduceScatter, groupBytes(i))
-	}
-	r.mem.free(r.recomputeWorkingSet())
-	bq.drain(p)
-	r.optimizerPhase(p)
-}
-
-// optimizerPhase dispatches the weight update to GPU, CPU (ZeRO-Offload) or
-// NVMe-staged CPU (ZeRO-Infinity) per the configured offload mode.
-func (r *Runner) optimizerPhase(p *sim.Proc) {
-	world := int64(r.cfg.WorldSize())
-	part := r.cfg.Model.Params() / world
-	partBytes := r.gradBytes / float64(world)
-	switch r.cfg.Offload {
-	case memory.NoOffload:
-		r.gpuAdam(p, part)
-	case memory.CPUOffload:
-		r.offloadCopy(p, partBytes) // gradients down to pinned host staging
-		r.hostAdam(p, part)
-		r.offloadCopy(p, partBytes) // updated FP16 params back up
-	case memory.NVMeOptimizer, memory.NVMeOptimizerAndParams:
-		r.offloadCopy(p, partBytes)          // gradients to host
-		r.nvmeIO(p, 12*float64(part), false) // read optimizer partition
-		r.hostAdam(p, part)
-		r.nvmeIO(p, 12*float64(part), true) // write optimizer partition
-		if r.cfg.Offload == memory.NVMeOptimizerAndParams {
-			r.nvmeIO(p, partBytes, true) // park updated FP16 params on NVMe
-		} else {
-			r.offloadCopy(p, partBytes) // updated FP16 params back to GPU
-		}
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"llmbw/internal/fabric"
 	"llmbw/internal/memory"
 	"llmbw/internal/model"
+	"llmbw/internal/topology"
 	"llmbw/internal/trace"
 )
 
@@ -374,6 +375,41 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNegativeCounts: a negative run length or batch size is
+// an error, never a zero-length run or a panic inside the simulation; zero
+// still selects the default. ValidateSettings, the model-free subset, rejects
+// them too, along with the Table I pairings.
+func TestValidateRejectsNegativeCounts(t *testing.T) {
+	g := model.NewGPT(4)
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		ok   bool
+	}{
+		{"defaults", Config{Strategy: DDP, Model: g}, true},
+		{"iterations -5", Config{Strategy: DDP, Model: g, Iterations: -5}, false},
+		{"iterations -1", Config{Strategy: ZeRO3, Model: g, Iterations: -1}, false},
+		{"warmup -1", Config{Strategy: DDP, Model: g, Warmup: -1}, false},
+		{"batch -1", Config{Strategy: DDP, Model: g, BatchPerGPU: -1}, false},
+		{"batch -1 on a DC fabric", Config{Strategy: DDP, Model: g, BatchPerGPU: -1, Topo: "fat-tree:nodes=8"}, false},
+		{"iterations 1 warmup 1 batch 1", Config{Strategy: DDP, Model: g, Iterations: 1, Warmup: 1, BatchPerGPU: 1}, true},
+	} {
+		if err := c.cfg.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%v", c.name, err, c.ok)
+		}
+		if err := c.cfg.ValidateSettings(); (err == nil) != c.ok {
+			t.Errorf("%s: ValidateSettings() = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+	// The model-free check needs no model and still enforces Table I.
+	if err := (Config{Strategy: ZeRO1, Offload: memory.NVMeOptimizer}).ValidateSettings(); err == nil {
+		t.Error("ValidateSettings accepted ZeRO-1 with NVMe offload")
+	}
+	if err := (Config{Strategy: ZeRO2, Offload: memory.CPUOffload}).ValidateSettings(); err != nil {
+		t.Errorf("ValidateSettings rejected ZeRO-2 with CPU offload: %v", err)
+	}
+}
+
 func TestRunRejectsOversizedModel(t *testing.T) {
 	_, err := Run(Config{Strategy: DDP, Model: model.NewGPT(100)})
 	if err == nil {
@@ -427,5 +463,101 @@ func TestBucketsAndGroupsPartition(t *testing.T) {
 	}
 	if len(buckets(1000)) > maxCommBuckets {
 		t.Error("bucket count exceeds cap")
+	}
+}
+
+// partSum and partSpread summarize a layer split: its total and the gap
+// between its largest and smallest part.
+func partSum(parts []int) int {
+	s := 0
+	for _, p := range parts {
+		s += p
+	}
+	return s
+}
+
+func partSpread(parts []int) int {
+	if len(parts) == 0 {
+		return 0
+	}
+	min, max := parts[0], parts[0]
+	for _, p := range parts {
+		if p < min {
+			min = p
+		}
+		if p > max {
+			max = p
+		}
+	}
+	return max - min
+}
+
+func TestBucketsBoundaries(t *testing.T) {
+	if layersPerBucket != 8 || maxCommBuckets != 16 {
+		t.Fatalf("cases below assume 8 layers per bucket and 16 buckets, have %d and %d",
+			layersPerBucket, maxCommBuckets)
+	}
+	cases := []struct {
+		layers int
+		want   []int
+	}{
+		// Zero layers: one empty bucket (a single empty flush).
+		{0, []int{0}},
+		// One layer, buckets bigger than the model: one bucket.
+		{1, []int{1}},
+		// Fewer layers than the bucket size: still one bucket.
+		{7, []int{7}},
+		// Exactly one bucket's worth.
+		{8, []int{8}},
+		// One layer over: two buckets, dealt round-robin.
+		{9, []int{5, 4}},
+		// Cap binds: 200 layers want 25 buckets, clamped to 16.
+		{200, topology.RoundRobin(200, 16)},
+	}
+	for _, c := range cases {
+		got := buckets(c.layers)
+		if len(got) != len(c.want) {
+			t.Errorf("buckets(%d) = %v, want %v", c.layers, got, c.want)
+			continue
+		}
+		for i := range got {
+			if got[i] != c.want[i] {
+				t.Errorf("buckets(%d) = %v, want %v", c.layers, got, c.want)
+				break
+			}
+		}
+		if partSum(got) != c.layers {
+			t.Errorf("buckets(%d) sums to %d", c.layers, partSum(got))
+		}
+	}
+}
+
+func TestGroupsBoundaries(t *testing.T) {
+	if zero3Groups != 12 {
+		t.Fatalf("cases below assume 12 prefetch groups, have %d", zero3Groups)
+	}
+	// Zero layers: nothing to prefetch, zero groups.
+	if got := groups(0); len(got) != 0 {
+		t.Errorf("groups(0) = %v, want empty", got)
+	}
+	// One layer: a single singleton group.
+	if got := groups(1); len(got) != 1 || got[0] != 1 {
+		t.Errorf("groups(1) = %v, want [1]", got)
+	}
+	// Fewer layers than groups: group count shrinks to the layer count, so
+	// every group holds exactly one layer.
+	got := groups(5)
+	if len(got) != 5 {
+		t.Fatalf("groups(5) has %d groups, want 5", len(got))
+	}
+	for i, g := range got {
+		if g != 1 {
+			t.Errorf("groups(5)[%d] = %d, want 1", i, g)
+		}
+	}
+	// More layers than groups: all twelve groups populated, even spread.
+	got = groups(40)
+	if len(got) != 12 || partSum(got) != 40 || partSpread(got) > 1 {
+		t.Errorf("groups(40) = %v, want 12 near-even groups summing to 40", got)
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"testing"
 
-	"llmbw/internal/collective"
-	"llmbw/internal/fabric"
 	"llmbw/internal/sim"
 )
 
@@ -35,34 +33,32 @@ func TestXbarScenarioKeysComplete(t *testing.T) {
 	}
 }
 
-// TestXbarReportStableAcrossIssuePaths renders the crossbar ablation under
-// every combination of the collective plan-reuse and batched-admission
-// toggles and requires identical bytes: the what-if studies must be blind to
-// which issue machinery produced them.
+// xbarReportGolden is XbarReport's output at a 100 ms stress duration,
+// frozen while the rebuild-per-issue collectives and per-flow admission
+// still existed and rendered it byte-identically to compiled plans and
+// batched admission.
+const xbarReportGolden = `== Ablation: I/O-die crossbar contention (attained fraction of RoCE theoretical) ==
+scenario               with crossbar  without  paper (with)
+---------------------  -------------  -------  ------------
+CPU-RoCE same-socket   10%            10%      93%
+CPU-RoCE cross-socket  5%             10%      47%
+GPU-RoCE same-socket   5%             10%      52%
+GPU-RoCE cross-socket  3%             10%      42%
+finding: removing the modelled SerDes-crossbar contention restores every
+scenario to near-theoretical — the degradations of Fig 4 are entirely the
+crossbar, supporting the paper's Section III-C4 hypothesis.
+`
+
+// TestXbarReportStableAcrossIssuePaths pins the crossbar ablation to the
+// bytes every collective issue and flow admission path produced: the what-if
+// studies must be blind to the issue machinery.
 func TestXbarReportStableAcrossIssuePaths(t *testing.T) {
-	render := func(plans, batch bool) []byte {
-		defer func(p, b bool) {
-			collective.CompiledPlans, fabric.BatchAdmission = p, b
-		}(collective.CompiledPlans, fabric.BatchAdmission)
-		collective.CompiledPlans, fabric.BatchAdmission = plans, batch
-		var buf bytes.Buffer
-		if err := XbarReport(&buf, 100*sim.Millisecond); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+	var buf bytes.Buffer
+	if err := XbarReport(&buf, 100*sim.Millisecond); err != nil {
+		t.Fatal(err)
 	}
-	fast := render(true, true)
-	for _, m := range []struct {
-		name         string
-		plans, batch bool
-	}{
-		{"legacy", false, false},
-		{"plans-only", true, false},
-		{"batch-only", false, true},
-	} {
-		if got := render(m.plans, m.batch); !bytes.Equal(fast, got) {
-			t.Errorf("%s report differs from fast path:\n%s\n----\n%s", m.name, fast, got)
-		}
+	if got := buf.String(); got != xbarReportGolden {
+		t.Errorf("XbarReport drifted from its golden:\n%s\n----\n%s", got, xbarReportGolden)
 	}
 }
 

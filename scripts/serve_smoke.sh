@@ -1,8 +1,8 @@
 #!/bin/sh
 # serve_smoke.sh boots the servesim daemon on a throwaway port, issues one
-# /run and one /serve query, checks that /healthz answers and that /stats
-# reports both result tiers, then sends SIGTERM and verifies the daemon
-# drains and exits cleanly. Exercised by `make serve-smoke` and the CI
+# /run and one /serve query, checks that three bad /run bodies get a 4xx and
+# the daemon stays healthy, that /stats reports both result tiers, then sends
+# SIGTERM and verifies the daemon drains and exits cleanly. Exercised by `make serve-smoke` and the CI
 # serve-smoke job.
 set -eu
 
@@ -31,6 +31,25 @@ SERVE=$(curl -sf -X POST "http://$ADDR/serve" \
 	-d '{"requests":8,"prompt_tokens":128,"decode_tokens":8}')
 echo "$SERVE" | grep -q '"goodput_rps"' || {
 	echo "serve-smoke: /serve response missing latency fields: $SERVE" >&2
+	exit 1
+}
+
+# Bad bodies get a 4xx and leave the daemon up: a Table I pairing the memory
+# profile would panic on, a negative iteration count, a misspelled field.
+for BODY in '{"strategy":"zero1","offload":"nvme-opt"}' \
+	'{"strategy":"ddp","layers":2,"iterations":-5}' \
+	'{"strategy":"ddp","layers":2,"iteratons":3}'; do
+	CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST "http://$ADDR/run" -d "$BODY" || true)
+	case "$CODE" in
+	4??) ;;
+	*)
+		echo "serve-smoke: POST /run $BODY answered $CODE, want 4xx" >&2
+		exit 1
+		;;
+	esac
+done
+curl -sf "http://$ADDR/healthz" >/dev/null || {
+	echo "serve-smoke: /healthz failed after the bad requests" >&2
 	exit 1
 }
 
